@@ -951,12 +951,10 @@ impl Broker {
 
 impl Service for Broker {
     fn on_datagram(&mut self, sim: &mut Sim, dg: Datagram) {
-        let from = dg.src;
         if !self.ep.on_datagram(sim, dg) {
             self.stats.malformed += 1;
             return;
         }
-        let _ = from;
         self.pump(sim);
     }
 

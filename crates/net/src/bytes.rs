@@ -307,6 +307,12 @@ impl Buf for Bytes {
         assert!(n <= self.len());
         self.start += n;
     }
+    /// Zero-copy: the result shares this buffer's allocation.
+    fn copy_to_bytes(&mut self, n: usize) -> Bytes {
+        let out = self.slice(..n);
+        self.advance(n);
+        out
+    }
 }
 
 impl Buf for BytesMut {

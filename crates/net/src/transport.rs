@@ -9,6 +9,15 @@
 //! no windows or congestion control, because simulated IoT messages are
 //! small and sparse.
 //!
+//! Retransmit deadlines live in the endpoint, not in the kernel: a min-heap
+//! holds one `(deadline, arm order)` entry per unacked frame, and the
+//! endpoint keeps a single kernel wake-up pending at or before the earliest
+//! deadline of a frame that is still unacked. An ack only drops the frame;
+//! its heap entry goes stale and is skipped when it reaches the top. So a
+//! stream of frames that are acked within the RTO costs one kernel event
+//! per RTO, not one wheel timer per frame. Each DATA frame is encoded once
+//! at send; a retransmit re-sends the stored bytes.
+//!
 //! Frame wire format (big-endian):
 //!
 //! ```text
@@ -26,22 +35,25 @@
 //! restarted service can never have its fresh frames silently "acked" by
 //! a peer that was actually talking to the previous incarnation.
 
-use std::collections::{BTreeMap, HashMap, VecDeque}; // keyed lookup only; `dbox audit` (DH0002) checks every iteration site
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque}; // keyed lookup only; `dbox audit` (DH0002) checks every iteration site
 
 use crate::bytes::{Buf, BufMut, Bytes, BytesMut};
 
-use crate::{Addr, Datagram, Sim, SimDuration, TimerToken};
+use crate::{Addr, Datagram, Sim, SimDuration, SimTime, TimerToken};
 
 const FRAME_DATA: u8 = 0x01;
 const FRAME_ACK: u8 = 0x02;
 
-/// Timer tokens used by reliable endpoints have this bit set, so the owning
-/// service can route `on_timer` callbacks without ambiguity.
+/// The timer token of a reliable endpoint's retransmit wake-up has this bit
+/// set, so the owning service can route `on_timer` callbacks without
+/// ambiguity. An endpoint uses exactly one token:
+/// `RELIABLE_TIMER_BIT | space << TOKEN_SPACE_SHIFT`.
 pub const RELIABLE_TIMER_BIT: u64 = 1 << 63;
 
-/// Bits 48..63 of a reliable-endpoint timer token carry the endpoint's
+/// Bits 48..63 of a reliable endpoint's timer token carry the endpoint's
 /// *token space*, so one service can host several endpoints (e.g. an MQTT
-/// connection and an HTTP server) without timer collisions.
+/// connection and an HTTP server), each with its own wake-up token.
 pub const TOKEN_SPACE_SHIFT: u32 = 48;
 
 /// Default initial retransmission timeout.
@@ -77,7 +89,8 @@ struct ConnState {
     send_inc: u64,
     /// Next sequence number to assign on send.
     next_send_seq: u64,
-    /// Sent but not yet cumulatively acked: seq → (payload, retries).
+    /// Sent but not yet cumulatively acked: seq → (encoded DATA frame,
+    /// retries).
     unacked: BTreeMap<u64, (Bytes, u32)>,
     /// The peer's incarnation the receive state belongs to (0 = none seen
     /// yet). Frames from an older incarnation are ghosts and dropped; a
@@ -89,6 +102,18 @@ struct ConnState {
     reorder: BTreeMap<u64, Bytes>,
 }
 
+/// When one sent frame is due for retransmission. Ordered by `(at, order)`;
+/// `order` is unique per endpoint, so frames due at the same instant go out
+/// in the order they were (re)sent.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+struct Deadline {
+    at: SimTime,
+    order: u64,
+    peer: Addr,
+    inc: u64,
+    seq: u64,
+}
+
 /// Reliable-messaging state machine for one local address.
 pub struct ReliableEndpoint {
     local: Addr,
@@ -96,9 +121,16 @@ pub struct ReliableEndpoint {
     rto: SimDuration,
     max_retries: u32,
     conns: HashMap<Addr, ConnState>,
-    /// Live retransmit timers: token → (peer, seq).
-    timers: HashMap<TimerToken, (Addr, u64)>,
-    next_token: u64,
+    /// Retransmit deadlines, earliest first: one entry per unacked frame,
+    /// plus stale entries of frames acked or reset since, which are
+    /// dropped when they reach the top.
+    deadlines: BinaryHeap<Reverse<Deadline>>,
+    /// `order` of the next deadline pushed.
+    next_order: u64,
+    /// Instant of the latest kernel wake-up set, until it fires. Whenever a
+    /// live deadline exists, a wake-up is pending at or before the
+    /// earliest one.
+    wake_at: Option<SimTime>,
     events: VecDeque<TransportEvent>,
     /// DATA frames retransmitted after an RTO firing.
     retransmits: u64,
@@ -121,8 +153,9 @@ impl ReliableEndpoint {
             rto,
             max_retries,
             conns: HashMap::new(),
-            timers: HashMap::new(),
-            next_token: 0,
+            deadlines: BinaryHeap::new(),
+            next_order: 0,
+            wake_at: None,
             events: VecDeque::new(),
             retransmits: 0,
             duplicates: 0,
@@ -158,10 +191,11 @@ impl ReliableEndpoint {
         self.duplicates
     }
 
-    /// Live retransmit timers (testing/diagnostics: must drop to zero for a
-    /// peer once that peer is declared failed).
+    /// Live retransmit deadlines: one per unacked frame, so zero once
+    /// every frame is acked or its peer declared failed (testing and
+    /// diagnostics). Stale heap entries are not counted.
     pub fn pending_timers(&self) -> usize {
-        self.timers.len()
+        self.deadlines.iter().filter(|Reverse(d)| self.is_live(d)).count()
     }
 
     /// Send `payload` reliably to `peer`.
@@ -176,20 +210,44 @@ impl ReliableEndpoint {
         let inc = conn.send_inc;
         let seq = conn.next_send_seq;
         conn.next_send_seq += 1;
-        conn.unacked.insert(seq, (payload.clone(), 0));
         let frame = encode_data(inc, seq, &payload);
+        conn.unacked.insert(seq, (frame.clone(), 0));
         sim.send(self.local, peer, frame);
-        self.arm_timer(sim, peer, seq, 0);
+        let at = self.arm(sim, peer, inc, seq, 0);
+        self.wake_by(sim, at);
     }
 
-    fn arm_timer(&mut self, sim: &mut Sim, peer: Addr, seq: u64, retries: u32) {
-        let token =
-            RELIABLE_TIMER_BIT | ((self.space as u64) << TOKEN_SPACE_SHIFT) | self.next_token;
-        self.next_token += 1;
-        self.timers.insert(token, (peer, seq));
+    /// The one timer token this endpoint's wake-ups use.
+    fn token(&self) -> TimerToken {
+        RELIABLE_TIMER_BIT | ((self.space as u64) << TOKEN_SPACE_SHIFT)
+    }
+
+    /// Push the deadline of frame `seq` to `peer` after its `retries`-th
+    /// retransmit (0: its first send), counting from now; returns it.
+    fn arm(&mut self, sim: &Sim, peer: Addr, inc: u64, seq: u64, retries: u32) -> SimTime {
         // Exponential backoff, capped at 8× the base RTO.
-        let mult = 1u64 << retries.min(3);
-        sim.set_timer(self.local, self.rto.saturating_mul(mult), token);
+        let at = sim.now() + self.rto.saturating_mul(1 << retries.min(3));
+        self.deadlines.push(Reverse(Deadline { at, order: self.next_order, peer, inc, seq }));
+        self.next_order += 1;
+        at
+    }
+
+    /// Keep a kernel wake-up pending at or before `at`. A wake-up set
+    /// earlier for a later instant cannot be cancelled; it fires as a no-op
+    /// unless frames are due by then.
+    fn wake_by(&mut self, sim: &mut Sim, at: SimTime) {
+        if self.wake_at.is_some_and(|w| w <= at) {
+            return;
+        }
+        self.wake_at = Some(at);
+        sim.set_timer(self.local, at - sim.now(), self.token());
+    }
+
+    /// Whether `d` is still the deadline of an unacked frame.
+    fn is_live(&self, d: &Deadline) -> bool {
+        self.conns
+            .get(&d.peer)
+            .is_some_and(|c| c.send_inc == d.inc && c.unacked.contains_key(&d.seq))
     }
 
     /// Feed a datagram received by the owning service. Returns `true` when
@@ -241,22 +299,20 @@ impl ReliableEndpoint {
             conn.recv_cursor = 0;
             conn.reorder.clear();
         }
-        let mut delivered = Vec::new();
         if seq < conn.recv_cursor || conn.reorder.contains_key(&seq) {
             self.duplicates += 1;
-        }
-        if seq >= conn.recv_cursor {
-            conn.reorder.entry(seq).or_insert(payload);
-            // Drain the in-order prefix.
-            while let Some(p) = conn.reorder.remove(&conn.recv_cursor) {
+        } else if seq > conn.recv_cursor {
+            conn.reorder.insert(seq, payload);
+        } else {
+            // In order: deliver it and the buffered run it completes.
+            let mut next = Some(payload);
+            while let Some(p) = next {
                 conn.recv_cursor += 1;
-                delivered.push(p);
+                self.events.push_back(TransportEvent::Delivered { peer, payload: p });
+                next = conn.reorder.remove(&conn.recv_cursor);
             }
         }
         let cursor = conn.recv_cursor;
-        self.events.extend(
-            delivered.into_iter().map(|p| TransportEvent::Delivered { peer, payload: p }),
-        );
         // Cumulative ack: highest in-order seq received (cursor - 1); also
         // acks duplicates so the sender stops retransmitting. Echoes the
         // peer's incarnation so it can reject acks meant for a dead stream.
@@ -270,43 +326,52 @@ impl ReliableEndpoint {
             // Only the current incarnation's acks count; a stale one could
             // otherwise "acknowledge" fresh frames the peer never saw.
             if conn.send_inc == inc {
-                conn.unacked.retain(|&seq, _| seq > ack);
+                while conn.unacked.first_key_value().is_some_and(|(&seq, _)| seq <= ack) {
+                    conn.unacked.pop_first();
+                }
             }
         }
     }
 
     /// Feed a timer callback. Returns `true` when the token belonged to
-    /// this endpoint.
+    /// this endpoint. Retransmits every frame due by now, in deadline
+    /// order, and sets the next wake-up at the earliest remaining live
+    /// deadline.
     pub fn on_timer(&mut self, sim: &mut Sim, token: TimerToken) -> bool {
-        if token & RELIABLE_TIMER_BIT == 0 {
+        if token != self.token() {
             return false;
         }
-        if ((token >> TOKEN_SPACE_SHIFT) & 0x7FFF) as u16 != self.space {
-            return false;
+        let now = sim.now();
+        if self.wake_at == Some(now) {
+            self.wake_at = None;
         }
-        let Some((peer, seq)) = self.timers.remove(&token) else {
-            return true; // ours, but already satisfied
-        };
-        let Some(conn) = self.conns.get_mut(&peer) else {
-            return true;
-        };
-        let inc = conn.send_inc;
-        let Some((payload, retries)) = conn.unacked.get_mut(&seq) else {
-            return true; // acked in the meantime
-        };
-        *retries += 1;
-        if *retries > self.max_retries {
-            // Give up: reset the connection and tell the owner.
-            self.conns.remove(&peer);
-            self.timers.retain(|_, (p, _)| *p != peer);
-            self.events.push_back(TransportEvent::PeerFailed { peer });
-            return true;
+        while let Some(Reverse(top)) = self.deadlines.peek() {
+            if !self.is_live(top) {
+                self.deadlines.pop();
+                continue;
+            }
+            if top.at > now {
+                let at = top.at;
+                self.wake_by(sim, at);
+                break;
+            }
+            let Reverse(d) = self.deadlines.pop().expect("peeked above");
+            let conn = self.conns.get_mut(&d.peer).expect("live deadline has a connection");
+            let (frame, retries) = conn.unacked.get_mut(&d.seq).expect("live deadline is unacked");
+            *retries += 1;
+            if *retries > self.max_retries {
+                // Give up: reset the connection and tell the owner. The
+                // peer's other deadlines go stale with it.
+                self.conns.remove(&d.peer);
+                self.events.push_back(TransportEvent::PeerFailed { peer: d.peer });
+                continue;
+            }
+            let (frame, retries) = (frame.clone(), *retries);
+            self.retransmits += 1;
+            sim.send(self.local, d.peer, frame);
+            // Due after now, so the loop reaches it again and wakes for it.
+            self.arm(sim, d.peer, d.inc, d.seq, retries);
         }
-        let frame = encode_data(inc, seq, payload);
-        let retries = *retries;
-        self.retransmits += 1;
-        sim.send(self.local, peer, frame);
-        self.arm_timer(sim, peer, seq, retries);
         true
     }
 
@@ -395,6 +460,10 @@ mod tests {
         (sim, pa, pb, a, b)
     }
 
+    fn at_ms(ms: u64) -> SimTime {
+        SimTime::from_nanos(ms * 1_000_000)
+    }
+
     #[test]
     fn lossless_in_order_delivery() {
         let (mut sim, pa, pb, _a, b) = lossy_pair(0.0);
@@ -408,6 +477,90 @@ mod tests {
             assert_eq!(u32::from_be_bytes(p[..4].try_into().unwrap()), i as u32);
         }
         assert_eq!(pa.borrow().ep.in_flight(b), 0, "all messages acked");
+    }
+
+    #[test]
+    fn back_to_back_frames_cost_one_wake() {
+        let (mut sim, pa, pb, _a, b) = lossy_pair(0.0);
+        for i in 0..50u32 {
+            pa.borrow_mut().ep.send(&mut sim, b, Bytes::from(i.to_be_bytes().to_vec()));
+        }
+        sim.run_to_completion();
+        assert_eq!(pb.borrow().delivered.len(), 50);
+        // Every event is a datagram delivery, except at most the one
+        // retransmit wake-up, which finds every frame acked.
+        let datagrams = sim.stats().datagrams_delivered;
+        assert!(sim.events_processed() <= datagrams + 1, "{} events", sim.events_processed());
+    }
+
+    #[test]
+    fn staggered_frames_keep_their_own_backoff() {
+        let (mut sim, pa, _pb, a, b) = lossy_pair(0.0);
+        sim.topology_mut().set_link(a.node, b.node, LinkSpec::lossy_wireless(1.0));
+        pa.borrow_mut().ep.send(&mut sim, b, Bytes::from_static(b"A"));
+        sim.run_until(at_ms(10));
+        pa.borrow_mut().ep.send(&mut sim, b, Bytes::from_static(b"B"));
+        // A retransmits at 50 and 50+100 ms, B at 10+50 and 10+50+100 ms.
+        for (ms, want) in
+            [(49, 0), (50, 1), (59, 1), (60, 2), (149, 2), (150, 3), (159, 3), (160, 4)]
+        {
+            sim.run_until(at_ms(ms));
+            assert_eq!(pa.borrow().ep.retransmits(), want, "at {ms} ms");
+        }
+    }
+
+    #[test]
+    fn peer_failure_keeps_other_peers_retransmissions() {
+        let mut topo = Topology::new();
+        let n0 = topo.add_node(NodeSpec::laptop());
+        let n1 = topo.add_node(NodeSpec::laptop());
+        let n2 = topo.add_node(NodeSpec::laptop());
+        topo.set_link(n0, n1, LinkSpec::lossy_wireless(1.0));
+        topo.set_link(n1, n0, LinkSpec::lossy_wireless(0.0));
+        topo.set_link(n0, n2, LinkSpec::lossy_wireless(0.01));
+        topo.set_link(n2, n0, LinkSpec::lossy_wireless(0.01));
+        let mut sim = Sim::new(topo, SimConfig::default());
+        let (a, b, c) = (Addr::new(n0, 1), Addr::new(n1, 1), Addr::new(n2, 1));
+        let (pa, pb, pc) = (Peer::new(a), Peer::new(b), Peer::new(c));
+        sim.bind(a, pa.clone());
+        sim.bind(b, pb.clone());
+        sim.bind(c, pc.clone());
+        // b is black-holed: its frame fails at 55 × RTO = 2750 ms.
+        pa.borrow_mut().ep.send(&mut sim, b, Bytes::from_static(b"doomed"));
+        let mut retransmits_before_failure = 0;
+        for i in 0..400u32 {
+            let t = 10 * i as u64;
+            // An a → c outage around b's failure keeps frames to c waiting
+            // on retransmission when b's connection is reset; frame 270's
+            // first deadline is b's failing one, 2750 ms.
+            match t {
+                2700 => sim.topology_mut().set_link(n0, n2, LinkSpec::lossy_wireless(1.0)),
+                2800 => sim.topology_mut().set_link(n0, n2, LinkSpec::lossy_wireless(0.01)),
+                _ => {}
+            }
+            sim.run_until(at_ms(t));
+            if t == 2740 {
+                assert_eq!(pa.borrow().failures, 0);
+                retransmits_before_failure = pa.borrow().ep.retransmits();
+            }
+            if t == 2750 {
+                assert_eq!(pa.borrow().failures, 1, "b failed at 55 × RTO");
+            }
+            pa.borrow_mut().ep.send(&mut sim, c, Bytes::from(i.to_be_bytes().to_vec()));
+        }
+        sim.run_to_completion();
+        let got = &pc.borrow().delivered;
+        assert_eq!(got.len(), 400, "every frame to c delivered");
+        for (i, p) in got.iter().enumerate() {
+            assert_eq!(u32::from_be_bytes(p[..4].try_into().unwrap()), i as u32);
+        }
+        let peer = pa.borrow();
+        assert_eq!(peer.failures, 1, "only b failed");
+        assert!(pb.borrow().delivered.is_empty());
+        assert_eq!(peer.ep.in_flight(c), 0);
+        assert_eq!(peer.ep.pending_timers(), 0);
+        // b's last retransmit went out at 2350 ms, so these are all to c.
+        assert!(peer.ep.retransmits() > retransmits_before_failure + 5);
     }
 
     #[test]
