@@ -15,15 +15,14 @@
 //! mostly-idle mocks. The `e9_faas_pooling` bench quantifies the
 //! difference.
 //!
-//! ## Storage: arena + slabs + model columns
+//! ## Storage: arena slabs + tick groups
 //!
 //! Cells live in a [`DigiArena`] — contiguous slabs addressed by a dense
 //! [`DigiId`] (a packed slot index plus a generation tag, so a recycled
 //! slot invalidates every stale handle) — instead of a per-digi
-//! `Rc<RefCell<...>>` object graph. The scalar leaves of every hosted
-//! model are mirrored into a struct-of-arrays [`ColumnStore`] keyed by
-//! interned attribute ids, so bulk reads (checkpointing, state digests)
-//! scan dense columns instead of walking N separate field trees.
+//! `Rc<RefCell<...>>` object graph. Each hosted model lives only in its
+//! cell: readers (checkpointing, state digests) read it there, exactly
+//! as they read a dedicated digi's model.
 //!
 //! ## Scheduling: one wheel entry per (interval, pool)
 //!
@@ -51,7 +50,7 @@ use std::rc::Rc;
 use digibox_net::bytes::Bytes;
 
 use digibox_broker::{ClientEvent, MqttConn, QoS};
-use digibox_model::{ColumnStore, Model, RowId, Value};
+use digibox_model::{Model, Value};
 use digibox_net::httpx::{Request, Response};
 use digibox_net::transport::{ReliableEndpoint, TransportEvent};
 use digibox_net::{Addr, Datagram, Prng, Service, ServiceHandle, Sim, SimDuration, TimerToken};
@@ -271,12 +270,6 @@ pub struct DigiPool {
     arena: DigiArena,
     /// Name → id, sorted (iteration order = digest order).
     ids: BTreeMap<String, DigiId>,
-    /// Dense model columns mirroring every hosted cell's scalar leaves.
-    columns: ColumnStore,
-    /// Per-slot column row (`rows[slot]` valid while the slot is live).
-    rows: Vec<u32>,
-    /// Per-slot model revision last mirrored into the columns.
-    mirror_rev: Vec<u64>,
     /// Interval (ms) → tick group; one wheel entry per armed group.
     tick_groups: BTreeMap<u64, TickGroup>,
     service_overhead: SimDuration,
@@ -296,9 +289,6 @@ impl DigiPool {
             addr,
             arena: Arena::new(),
             ids: BTreeMap::new(),
-            columns: ColumnStore::new(),
-            rows: Vec::new(),
-            mirror_rev: Vec::new(),
             tick_groups: BTreeMap::new(),
             service_overhead,
             overhead_rng: Prng::new(addr.port as u64 ^ 0xF445),
@@ -348,23 +338,9 @@ impl DigiPool {
         self.arena.get(*self.ids.get(name)?)
     }
 
-    /// The dense model columns (bulk readers: checkpointing, digests).
-    pub fn columns(&self) -> &ColumnStore {
-        &self.columns
-    }
-
-    /// A hosted digi's field tree, rebuilt from the dense columns (the
-    /// checkpoint read path: no walk of the cell's own tree).
-    pub fn snapshot_fields(&self, name: &str) -> Option<Value> {
-        let id = *self.ids.get(name)?;
-        let slot = id.slot() as usize;
-        self.arena.get(id)?;
-        self.columns.snapshot_row(RowId(self.rows[slot])).ok()
-    }
-
     /// Overwrite a hosted digi's fields (checkpoint restore). The cell
-    /// keeps its slab slot and tick group; the model is republished and
-    /// the columns re-mirrored. Returns `false` if not hosted here.
+    /// keeps its slab slot and tick group; the model is republished.
+    /// Returns `false` if not hosted here.
     pub fn restore_fields(&mut self, sim: &mut Sim, name: &str, fields: Value) -> bool {
         let Some(&id) = self.ids.get(name) else {
             return false;
@@ -376,7 +352,6 @@ impl DigiPool {
         let mut out = Outbox::new();
         cell.force_fields(now, fields, &mut out);
         self.flush(sim, out);
-        self.sync_mirror(id);
         true
     }
 
@@ -404,21 +379,13 @@ impl DigiPool {
         self.flush(sim, out);
         let interval = cell.interval_ms();
         let id = self.arena.insert(cell);
-        let slot = id.slot() as usize;
-        if self.rows.len() <= slot {
-            self.rows.resize(slot + 1, 0);
-            self.mirror_rev.resize(slot + 1, 0);
-        }
-        self.rows[slot] = self.columns.alloc_row().0;
-        self.mirror_rev[slot] = u64::MAX; // force the initial mirror
         self.ids.insert(name, id);
-        self.sync_mirror(id);
         self.join_tick_group(sim, id, interval);
         id
     }
 
-    /// Remove a hosted digi. Its slab slot and column row return to the
-    /// free lists; any [`DigiId`] for it goes stale.
+    /// Remove a hosted digi. Its slab slot returns to the free list; any
+    /// [`DigiId`] for it goes stale.
     pub fn evict(&mut self, sim: &mut Sim, name: &str) -> bool {
         let Some(id) = self.ids.remove(name) else {
             return false;
@@ -426,7 +393,6 @@ impl DigiPool {
         let Some(cell) = self.arena.remove(id) else {
             return false;
         };
-        self.columns.free_row(RowId(self.rows[id.slot() as usize]));
         // The cell's tick-group entry goes stale with the id; it is
         // skipped and compacted at the group's next firing.
         let [intent_topic, set_topic] = cell.command_topics();
@@ -452,21 +418,6 @@ impl DigiPool {
         for (topic, payload, retain) in out.messages {
             self.conn.publish(sim, &topic, payload, QoS::AtMostOnce, retain);
         }
-    }
-
-    /// Mirror a cell's scalar leaves into the dense columns if its model
-    /// revision moved since the last mirror.
-    fn sync_mirror(&mut self, id: DigiId) {
-        let slot = id.slot() as usize;
-        let Some(cell) = self.arena.get(id) else {
-            return;
-        };
-        let rev = cell.model().revision();
-        if self.mirror_rev[slot] == rev {
-            return;
-        }
-        let _ = self.columns.load_row(RowId(self.rows[slot]), cell.model().fields());
-        self.mirror_rev[slot] = rev;
     }
 
     /// Add a cell to the tick group for `interval_ms`, arming the group's
@@ -508,7 +459,6 @@ impl DigiPool {
             let new_interval = cell.interval_ms();
             self.stats.ticks_dispatched += 1;
             self.flush(sim, out);
-            self.sync_mirror(id);
             if new_interval == interval_ms {
                 survivors.push(id);
             } else {
@@ -538,28 +488,22 @@ impl DigiPool {
         let digi = digi.to_string();
         match topics::channel_of(topic) {
             Some("intent") => {
-                if let Some(&id) = self.ids.get(&digi) {
-                    if let Some(cell) = self.arena.get_mut(id) {
-                        cell.log_message_in(now, topic, payload);
-                        let updates = DigiCell::parse_intents(payload);
-                        let mut out = Outbox::new();
-                        // NOTE: pooled digis apply intents immediately; per-digi
-                        // actuation delay is a dedicated-service feature.
-                        cell.apply_intents(now, updates, &mut out);
-                        self.flush(sim, out);
-                        self.sync_mirror(id);
-                    }
+                if let Some(cell) = self.ids.get(&digi).and_then(|&id| self.arena.get_mut(id)) {
+                    cell.log_message_in(now, topic, payload);
+                    let updates = DigiCell::parse_intents(payload);
+                    let mut out = Outbox::new();
+                    // NOTE: pooled digis apply intents immediately; per-digi
+                    // actuation delay is a dedicated-service feature.
+                    cell.apply_intents(now, updates, &mut out);
+                    self.flush(sim, out);
                 }
             }
             Some("set") => {
-                if let Some(&id) = self.ids.get(&digi) {
-                    if let Some(cell) = self.arena.get_mut(id) {
-                        cell.log_message_in(now, topic, payload);
-                        let mut out = Outbox::new();
-                        cell.handle_set(now, payload, &mut out);
-                        self.flush(sim, out);
-                        self.sync_mirror(id);
-                    }
+                if let Some(cell) = self.ids.get(&digi).and_then(|&id| self.arena.get_mut(id)) {
+                    cell.log_message_in(now, topic, payload);
+                    let mut out = Outbox::new();
+                    cell.handle_set(now, payload, &mut out);
+                    self.flush(sim, out);
                 }
             }
             Some("model") => {
@@ -576,7 +520,6 @@ impl DigiPool {
                         let mut out = Outbox::new();
                         cell.observe_child(now, &digi, payload, &mut out);
                         self.flush(sim, out);
-                        self.sync_mirror(id);
                     }
                 }
             }
@@ -597,12 +540,11 @@ impl DigiPool {
                     }
                 };
                 let target_id = target.and_then(|t| self.ids.get(&t).copied());
-                match target_id.and_then(|id| self.arena.get_mut(id).map(|c| (id, c))) {
-                    Some((id, cell)) => {
+                match target_id.and_then(|id| self.arena.get_mut(id)) {
+                    Some(cell) => {
                         let mut out = Outbox::new();
                         let resp = cell.route_http(sim.now(), &req, &mut out);
                         self.flush(sim, out);
-                        self.sync_mirror(id);
                         resp
                     }
                     None => Response::not_found("no such digi in this pool"),

@@ -231,8 +231,7 @@ pub struct Testbed {
     next_app_port: u16,
     /// The developer-console MQTT session used by `edit`/`replay`.
     operator: Option<ServiceHandle<AppClient>>,
-    /// Pools created via [`Testbed::run_pool`]; checkpoint passes snapshot
-    /// their members from the pools' dense model columns.
+    /// Pools created via [`Testbed::run_pool`].
     pools: Vec<ServiceHandle<crate::DigiPool>>,
     pending_restarts: Vec<PendingRestart>,
     /// When a killed broker's replacement rebinds (None = broker is up).
@@ -370,9 +369,14 @@ impl Testbed {
         &self.config
     }
 
-    /// Names of all running digis, sorted.
+    /// Names of all running digis, dedicated and pooled, sorted.
     pub fn digi_names(&self) -> Vec<String> {
-        self.digis.keys().cloned().collect()
+        let mut names: Vec<String> = self.digis.keys().cloned().collect();
+        for pool in &self.pools {
+            names.extend(pool.borrow().names().into_iter().map(str::to_string));
+        }
+        names.sort();
+        names
     }
 
     /// Number of running digis, dedicated and pooled.
@@ -778,9 +782,15 @@ impl Testbed {
         Ok(())
     }
 
-    /// `dbox check <name>` — snapshot a digi's model.
+    /// `dbox check <name>` — snapshot a digi's model, dedicated or pooled.
     pub fn check(&mut self, name: &str) -> crate::Result<Model> {
-        Ok(self.digi(name)?.borrow().model().clone())
+        if let Some(entry) = self.digis.get(name) {
+            return Ok(entry.handle.borrow().model().clone());
+        }
+        self.pools
+            .iter()
+            .find_map(|pool| pool.borrow().model(name).cloned())
+            .ok_or_else(|| TestbedError::UnknownDigi(name.to_string()))
     }
 
     /// `dbox edit <name>` — set intent fields through the real message
@@ -1050,10 +1060,8 @@ impl Testbed {
     }
 
     /// Snapshot every running digi's model into the checkpoint store now.
-    ///
-    /// Dedicated digis are read through their service handles; pooled
-    /// digis are read from their pool's dense model columns (a columnar
-    /// scan, not a walk of N separate field trees).
+    /// Dedicated digis are read through their service handles, pooled
+    /// digis through their pool's cells; both save the same way.
     pub fn checkpoint_all(&mut self) {
         let _span = obs::enter(self.obs.f_checkpoint);
         obs::inc(self.obs.checkpoint_passes);
@@ -1064,24 +1072,22 @@ impl Testbed {
             self.checkpoints.save(name, model.fields(), model.revision(), now);
             obs::inc(self.obs.checkpoint_snapshots);
         }
-        let pools = self.pools.clone();
-        for pool in &pools {
+        for pool in &self.pools {
             let p = pool.borrow();
             for name in p.names() {
-                let (Some(fields), Some(model)) = (p.snapshot_fields(name), p.model(name))
-                else {
+                let Some(model) = p.model(name) else {
                     continue;
                 };
-                self.checkpoints.save(name, &fields, model.revision(), now);
+                self.checkpoints.save(name, model.fields(), model.revision(), now);
                 obs::inc(self.obs.checkpoint_snapshots);
             }
         }
     }
 
     /// Restore a pooled digi's fields from its last checkpoint (taken by
-    /// [`Testbed::checkpoint_all`] out of the pool's model columns). The
-    /// cell keeps its slab slot and tick group. Returns `false` when the
-    /// digi has no checkpoint or is not hosted in any pool.
+    /// [`Testbed::checkpoint_all`]). The cell keeps its slab slot and tick
+    /// group. Returns `false` when the digi has no checkpoint or is not
+    /// hosted in any pool.
     pub fn restore_pooled(&mut self, name: &str) -> bool {
         let Some(fields) = self.checkpoints.restore(name) else {
             return false;

@@ -23,6 +23,8 @@ impl DigiProgram for Counter {
         Schema::new("Counter", "v1")
             .field("n", FieldKind::int())
             .field("limit", FieldKind::pair(FieldKind::int()))
+            // schemaless, default `null`: checkpoints must keep null leaves
+            .field("note", FieldKind::Any)
     }
     fn on_loop(&mut self, ctx: &mut LoopCtx) {
         let n = ctx.model.lookup(&"n".into()).and_then(Value::as_int).unwrap_or(0);
@@ -146,7 +148,7 @@ fn pooled_checkpoints_snapshot_columns_and_restore_in_place() {
         .unwrap();
     assert!(n_at_ckpt >= 2);
     tb.checkpoint_all();
-    // every pooled member got a snapshot, read out of the model columns
+    // every pooled member got a snapshot, read out of its cell's model
     for name in ["C0", "C1", "C2", "C3", "C4"] {
         let info = tb.checkpoints().info(name).unwrap();
         assert!(info.revision > 0, "{name} checkpointed at revision 0");
@@ -170,6 +172,46 @@ fn pooled_checkpoints_snapshot_columns_and_restore_in_place() {
     // unknown / un-pooled names restore nothing
     drop(p);
     assert!(!tb.restore_pooled("ghost"));
+}
+
+#[test]
+fn pooled_checkpoints_keep_null_fields() {
+    let config = TestbedConfig { checkpoint_every: None, ..Default::default() };
+    let mut tb = Testbed::laptop(catalog(), config);
+    // managed (paused) digis keep their initial fields: one dedicated, one pooled
+    tb.run_with("Counter", "D0", BTreeMap::new(), true).unwrap();
+    tb.run_pool("Counter", &["Q0".to_string()], BTreeMap::new(), true).unwrap();
+    let (pool, _) = tb.run_pool("Counter", &["P0".to_string()], BTreeMap::new(), false).unwrap();
+    tb.run_for(SimDuration::from_secs(3));
+    let at_ckpt = pool.borrow().model("P0").unwrap().fields().clone();
+    assert_eq!(at_ckpt.get("note"), Some(&Value::Null));
+    tb.checkpoint_all();
+    assert_eq!(
+        tb.checkpoints().info("Q0").unwrap().digest,
+        tb.checkpoints().info("D0").unwrap().digest,
+        "a pooled checkpoint must digest like a dedicated one with the same fields"
+    );
+    tb.run_for(SimDuration::from_secs(3));
+    assert_ne!(pool.borrow().model("P0").unwrap().fields(), &at_ckpt);
+    assert!(tb.restore_pooled("P0"));
+    assert_eq!(pool.borrow().model("P0").unwrap().fields(), &at_ckpt);
+}
+
+#[test]
+fn digi_names_and_check_cover_pooled_digis() {
+    let mut tb = Testbed::laptop(catalog(), TestbedConfig::default());
+    tb.run("Counter", "B").unwrap();
+    tb.run("Counter", "D").unwrap();
+    let (pool, _) = tb.run_pool("Counter", &names(3), BTreeMap::new(), false).unwrap();
+    tb.run_for(SimDuration::from_secs(1));
+    let all = tb.digi_names();
+    assert_eq!(all, ["B", "C0", "C1", "C2", "D"]);
+    assert_eq!(all.len(), tb.digi_count());
+    for name in names(3) {
+        let model = tb.check(&name).unwrap();
+        assert_eq!(&model, pool.borrow().model(&name).unwrap());
+    }
+    assert!(tb.check("ghost").is_err());
 }
 
 #[test]
