@@ -1,90 +1,19 @@
 //! Substrate hot-path overhaul: old vs new, same machine, same process.
 //!
-//! Two microbenchmarks, each run against the frozen pre-overhaul
-//! implementation (`digibox_bench::baseline`) and the live one:
-//!
-//! * `periodic_timer/*` — 1024 periodic timers re-arming through 64
-//!   rounds: the kernel workload the hierarchical timer wheel targets.
-//! * `publish_routing/*` — repeated publishes to a small set of hot
-//!   topics over a 512-subscription trie: the broker workload the
-//!   interned trie + route cache targets.
+//! `publish_routing/*` — repeated publishes to a small set of hot topics
+//! over a 512-subscription trie, run against the frozen pre-overhaul trie
+//! (`digibox_bench::baseline`) and the live one: the broker workload the
+//! interned trie + route cache targets.
 //!
 //! `scripts/bench_smoke.sh` (and the `bench_smoke` bin) run the same
-//! comparisons headlessly and write `BENCH_substrate.json`.
+//! comparison headlessly and write `BENCH_substrate.json`.
 
 use std::collections::HashMap;
 use std::rc::Rc;
 
 use digibox_bench::BenchGroup;
-use digibox_bench::baseline::{OldEventQueue, OldTopicTrie};
+use digibox_bench::baseline::OldTopicTrie;
 use digibox_broker::TopicTrie;
-use digibox_net::EventWheel;
-
-const TIMERS: u64 = 1024;
-const ROUNDS: u64 = 64;
-/// 10ms in the kernel's nanosecond clock — a typical digi tick interval.
-const PERIOD_NS: u64 = 10_000_000;
-/// Keepalive/retransmit-style timers parked past the horizon: every live
-/// connection keeps a couple pending, and they deepen the old global heap
-/// while the wheel files them into upper levels untouched.
-const STANDING: u64 = 2048;
-
-/// Drive `TIMERS` periodic timers (one per device, phases staggered over
-/// the first period, as the testbed stagger-boots devices) through
-/// `ROUNDS` re-arms on the old global heap, with `STANDING` far-future
-/// timers resident.
-fn periodic_old() -> u64 {
-    let mut q = OldEventQueue::new();
-    let mut seq = 0u64;
-    let horizon = PERIOD_NS * ROUNDS;
-    for s in 0..STANDING {
-        q.push(horizon + 1 + s * 1_000_000, seq, u64::MAX - s);
-        seq += 1;
-    }
-    for t in 0..TIMERS {
-        q.push(1 + t * (PERIOD_NS / TIMERS), seq, t);
-        seq += 1;
-    }
-    let mut fired = 0u64;
-    while let Some((at, _, t)) = q.pop() {
-        if at > horizon {
-            break;
-        }
-        fired += 1;
-        if at < horizon {
-            q.push(at + PERIOD_NS, seq, t);
-            seq += 1;
-        }
-    }
-    fired
-}
-
-/// The same workload on the hierarchical timer wheel.
-fn periodic_new() -> u64 {
-    let mut q = EventWheel::new();
-    let mut seq = 0u64;
-    let horizon = PERIOD_NS * ROUNDS;
-    for s in 0..STANDING {
-        q.push(horizon + 1 + s * 1_000_000, seq, u64::MAX - s);
-        seq += 1;
-    }
-    for t in 0..TIMERS {
-        q.push(1 + t * (PERIOD_NS / TIMERS), seq, t);
-        seq += 1;
-    }
-    let mut fired = 0u64;
-    while let Some((at, _, t)) = q.pop() {
-        if at > horizon {
-            break;
-        }
-        fired += 1;
-        if at < horizon {
-            q.push(at + PERIOD_NS, seq, t);
-            seq += 1;
-        }
-    }
-    fired
-}
 
 /// The broker's subscription shape: per-digi status filters plus a few
 /// wildcard observers, as `build_deployment` produces.
@@ -142,10 +71,6 @@ fn routing_new(trie: &TopicTrie<u32>, topics: &[String], publishes: usize) -> us
 }
 
 fn main() {
-    let mut group = BenchGroup::new("periodic_timer");
-    group.bench_function("old_binary_heap", |b| b.iter(|| std::hint::black_box(periodic_old())));
-    group.bench_function("new_timer_wheel", |b| b.iter(|| std::hint::black_box(periodic_new())));
-
     let fs = filters(512);
     let mut old_trie = OldTopicTrie::new();
     let mut new_trie = TopicTrie::new();

@@ -1,86 +1,17 @@
-//! Frozen pre-overhaul implementations of the two hot-path data structures
-//! the substrate overhaul replaced, kept verbatim so `substrate_hotpath`
-//! and `bench_smoke` can measure old-vs-new on the same machine in the
-//! same process.
+//! Frozen pre-overhaul implementation of the broker's subscription trie,
+//! kept verbatim so `substrate_hotpath` and `bench_smoke` can measure
+//! old-vs-new on the same machine in the same process.
 //!
-//! * [`OldEventQueue`] — the kernel's original event queue: one global
-//!   `BinaryHeap<Reverse<Event>>` ordered by `(at, seq)`. Every push is an
-//!   O(log n) sift through the whole queue; periodic timers pay that cost
-//!   on every re-arm. The replacement is `digibox_net::EventWheel`
-//!   (hierarchical timer wheel + far-future overflow heap).
+//! [`OldTopicTrie`] — the broker's original subscription trie:
+//! `BTreeMap<String, Node>` children keyed by owned level strings, and a
+//! `lookup` that collects `topic.split('/')` into a fresh `Vec<&str>` per
+//! publish. The replacement interns levels to `u32` symbols and walks the
+//! split iterator directly; the broker additionally caches resolved routes
+//! per topic behind a trie epoch.
 //!
-//! * [`OldTopicTrie`] — the broker's original subscription trie:
-//!   `BTreeMap<String, Node>` children keyed by owned level strings, and a
-//!   `lookup` that collects `topic.split('/')` into a fresh `Vec<&str>`
-//!   per publish. The replacement interns levels to `u32` symbols and
-//!   walks the split iterator directly; the broker additionally caches
-//!   resolved routes per topic behind a trie epoch.
-//!
-//! Nothing outside the bench crate should use these types.
+//! Nothing outside the bench crate should use this type.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
-
-/// An event in the old queue: `(at, seq)` total order, payload `T`.
-struct OldEvent<T> {
-    at: u64,
-    seq: u64,
-    value: T,
-}
-
-impl<T> PartialEq for OldEvent<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<T> Eq for OldEvent<T> {}
-impl<T> PartialOrd for OldEvent<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for OldEvent<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
-/// The kernel's original single binary-heap event queue.
-pub struct OldEventQueue<T> {
-    heap: BinaryHeap<Reverse<OldEvent<T>>>,
-}
-
-impl<T> Default for OldEventQueue<T> {
-    fn default() -> Self {
-        OldEventQueue::new()
-    }
-}
-
-impl<T> OldEventQueue<T> {
-    pub fn new() -> OldEventQueue<T> {
-        OldEventQueue { heap: BinaryHeap::new() }
-    }
-
-    pub fn push(&mut self, at: u64, seq: u64, value: T) {
-        self.heap.push(Reverse(OldEvent { at, seq, value }));
-    }
-
-    pub fn peek(&self) -> Option<(u64, u64)> {
-        self.heap.peek().map(|Reverse(e)| (e.at, e.seq))
-    }
-
-    pub fn pop(&mut self) -> Option<(u64, u64, T)> {
-        self.heap.pop().map(|Reverse(e)| (e.at, e.seq, e.value))
-    }
-
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
+use std::collections::BTreeMap;
 
 /// The broker's original subscription trie (string-keyed, allocating
 /// lookup), copied from the pre-overhaul `digibox_broker::topic`.
@@ -185,28 +116,9 @@ impl<T> OldTopicTrie<T> {
 mod tests {
     use super::*;
     use digibox_broker::TopicTrie;
-    use digibox_net::EventWheel;
 
-    /// The frozen baselines must agree with the live implementations —
-    /// otherwise old-vs-new bench numbers compare different semantics.
-    #[test]
-    fn old_queue_agrees_with_event_wheel() {
-        let mut old = OldEventQueue::new();
-        let mut new = EventWheel::new();
-        let mut state = 0x5eed_cafe_u64;
-        let mut at = 0u64;
-        for seq in 0..5000u64 {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            at += state >> 40; // mixes same-tick, near, and far delays
-            old.push(at, seq, seq);
-            new.push(at, seq, seq);
-        }
-        while let Some(expect) = old.pop() {
-            assert_eq!(new.pop(), Some(expect));
-        }
-        assert!(new.is_empty());
-    }
-
+    /// The frozen baseline must agree with the live trie — otherwise
+    /// old-vs-new bench numbers compare different semantics.
     #[test]
     fn old_trie_agrees_with_interned_trie() {
         let filters = ["a/+/c", "a/#", "a/b/c", "+/b/+", "#", "$SYS/#", "x/y"];

@@ -24,7 +24,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 use std::time::Instant;
 
-use digibox_bench::baseline::{OldEventQueue, OldTopicTrie};
+use digibox_bench::baseline::OldTopicTrie;
 use digibox_bench::{best_of, build_deployment, laptop, measure_gets, parallel_sweep, report};
 use digibox_broker::TopicTrie;
 use digibox_core::campaign::Campaign;
@@ -35,64 +35,7 @@ use digibox_devices::full_catalog;
 use digibox_net::chaos::{FaultKind, FaultPlan, FaultSpec};
 use digibox_model::json::{self, ToJson};
 use digibox_model::{vmap, Value};
-use digibox_net::{EventWheel, SimDuration};
-
-const TIMERS: u64 = 1024;
-const ROUNDS: u64 = 64;
-const PERIOD_NS: u64 = 10_000_000;
-const STANDING: u64 = 2048;
-
-fn periodic_old() -> u64 {
-    let mut q = OldEventQueue::new();
-    let mut seq = 0u64;
-    let horizon = PERIOD_NS * ROUNDS;
-    for s in 0..STANDING {
-        q.push(horizon + 1 + s * 1_000_000, seq, u64::MAX - s);
-        seq += 1;
-    }
-    for t in 0..TIMERS {
-        q.push(1 + t * (PERIOD_NS / TIMERS), seq, t);
-        seq += 1;
-    }
-    let mut fired = 0u64;
-    while let Some((at, _, t)) = q.pop() {
-        if at > horizon {
-            break;
-        }
-        fired += 1;
-        if at < horizon {
-            q.push(at + PERIOD_NS, seq, t);
-            seq += 1;
-        }
-    }
-    fired
-}
-
-fn periodic_new() -> u64 {
-    let mut q = EventWheel::new();
-    let mut seq = 0u64;
-    let horizon = PERIOD_NS * ROUNDS;
-    for s in 0..STANDING {
-        q.push(horizon + 1 + s * 1_000_000, seq, u64::MAX - s);
-        seq += 1;
-    }
-    for t in 0..TIMERS {
-        q.push(1 + t * (PERIOD_NS / TIMERS), seq, t);
-        seq += 1;
-    }
-    let mut fired = 0u64;
-    while let Some((at, _, t)) = q.pop() {
-        if at > horizon {
-            break;
-        }
-        fired += 1;
-        if at < horizon {
-            q.push(at + PERIOD_NS, seq, t);
-            seq += 1;
-        }
-    }
-    fired
-}
+use digibox_net::SimDuration;
 
 fn filters(n: usize) -> Vec<String> {
     let mut f: Vec<String> = (0..n).map(|i| format!("digibox/mock/O{i}/status")).collect();
@@ -303,17 +246,7 @@ fn main() {
     let scale_path = std::env::args().nth(4).unwrap_or_else(|| "BENCH_scale.json".into());
     let islands_path = std::env::args().nth(5).unwrap_or_else(|| "BENCH_islands.json".into());
 
-    // ---- microbench 1: periodic timers, old heap vs timer wheel ----
-    let (heap_s, heap_fired) = best_of(periodic_old);
-    let (wheel_s, wheel_fired) = best_of(periodic_new);
-    assert_eq!(heap_fired, wheel_fired, "old and new queues disagree on fired count");
-    let timer_speedup = heap_s / wheel_s;
-    report(
-        "smoke",
-        &format!("periodic_timer  old={:.3}ms new={:.3}ms speedup={timer_speedup:.2}x", heap_s * 1e3, wheel_s * 1e3),
-    );
-
-    // ---- microbench 2: repeated-topic publish routing ----
+    // ---- microbench: repeated-topic publish routing ----
     let fs = filters(512);
     let mut old_trie = OldTopicTrie::new();
     let mut new_trie = TopicTrie::new();
@@ -366,13 +299,6 @@ fn main() {
         "bench" => "substrate_hotpath smoke",
         "harness" => "bench_smoke bin (std::time::Instant, best of 7)",
         "micro" => vmap! {
-            "periodic_timer" => vmap! {
-                "timers" => TIMERS.to_value(), "rounds" => ROUNDS.to_value(),
-                "period_ns" => PERIOD_NS.to_value(), "standing" => STANDING.to_value(),
-                "old_binary_heap_ms" => heap_s * 1e3,
-                "new_timer_wheel_ms" => wheel_s * 1e3,
-                "speedup" => timer_speedup,
-            },
             "publish_routing" => vmap! {
                 "subscriptions" => fs.len(), "hot_topics" => topics.len(), "publishes" => 4096,
                 "old_uncached_ms" => old_s * 1e3,

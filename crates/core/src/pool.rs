@@ -24,18 +24,26 @@
 //! cell: readers (checkpointing, state digests) read it there, exactly
 //! as they read a dedicated digi's model.
 //!
-//! ## Scheduling: one wheel entry per (interval, pool)
+//! ## Scheduling: one kernel timer per (interval, pool)
 //!
 //! Periodic ticks are driven by *tick groups*: the pool arms **one**
-//! kernel-wheel timer per distinct loop interval and, when it fires, walks
+//! kernel timer per distinct loop interval and, when it fires, walks
 //! the group's members in insertion order — a dense run over the arena —
-//! instead of keeping one wheel entry per digi. At 100k mostly-idle mocks
+//! instead of keeping one queued timer per digi. At 100k mostly-idle mocks
 //! this turns 100k queue entries into a handful. Cells hosted into an
 //! already-armed group adopt the group's phase (they first tick at the
 //! group's next firing); stale members left behind by evictions are
 //! skipped and compacted on the next firing. Same-instant datagram batches
 //! coalesced by the kernel ([`Service::on_datagram_batch`]) are ingested
 //! whole and pumped once per batch.
+//!
+//! ## Session loss
+//!
+//! When the broker session dies (the broker was killed, or a partition
+//! outlasted the transport's retries), the next tick-group firing
+//! reconnects, re-subscribes every hosted cell's command topics and its
+//! attached children's model topics, and republishes every hosted model —
+//! what a dedicated digi does on its next loop tick.
 //!
 //! Semantics are unchanged: pooled digis publish/subscribe the same topics
 //! and serve the same REST API (routed as `/digi/<name>/...`), so
@@ -243,7 +251,7 @@ pub struct PoolStats {
     /// Event-generation ticks dispatched to cells.
     pub ticks_dispatched: u64,
     /// Kernel timer wakeups taken by the pool (one per tick-group firing).
-    pub wheel_wakeups: u64,
+    pub timer_wakeups: u64,
     /// REST requests served across all hosted digis.
     pub rest_requests: u64,
     /// MQTT messages routed into hosted cells.
@@ -253,12 +261,12 @@ pub struct PoolStats {
 }
 
 /// One tick group: every hosted cell sharing a loop interval, driven by a
-/// single kernel-wheel entry.
+/// single kernel timer.
 #[derive(Default)]
 struct TickGroup {
     /// Members in host order; stale ids are compacted on firing.
     members: Vec<DigiId>,
-    /// Whether a wheel entry for this group is in flight.
+    /// Whether a timer for this group is in flight.
     armed: bool,
 }
 
@@ -270,19 +278,29 @@ pub struct DigiPool {
     arena: DigiArena,
     /// Name → id, sorted (iteration order = digest order).
     ids: BTreeMap<String, DigiId>,
-    /// Interval (ms) → tick group; one wheel entry per armed group.
+    /// Interval (ms) → tick group; one kernel timer per armed group.
     tick_groups: BTreeMap<u64, TickGroup>,
     service_overhead: SimDuration,
     overhead_rng: Prng,
     pending_responses: HashMap<TimerToken, (Addr, Bytes)>,
     next_response_token: u64,
+    /// Set when the MQTT session died; the next tick-group firing
+    /// reconnects (see the module doc).
+    reconnect_pending: bool,
     stats: PoolStats,
 }
 
 impl DigiPool {
     /// A pool at `addr` speaking MQTT to `broker`, with per-message
-    /// service overhead applied to REST responses.
-    pub fn new(addr: Addr, broker: Addr, service_overhead: SimDuration) -> ServiceHandle<DigiPool> {
+    /// service overhead applied to REST responses, jittered from
+    /// `overhead_rng` (split from the kernel seed, so it follows the run's
+    /// seed like every other stream).
+    pub fn new(
+        addr: Addr,
+        broker: Addr,
+        service_overhead: SimDuration,
+        overhead_rng: Prng,
+    ) -> ServiceHandle<DigiPool> {
         Rc::new(RefCell::new(DigiPool {
             conn: MqttConn::new(addr, broker, &format!("pool/{addr}")),
             http: ReliableEndpoint::new(addr).with_space(HTTP_TOKEN_SPACE),
@@ -291,9 +309,10 @@ impl DigiPool {
             ids: BTreeMap::new(),
             tick_groups: BTreeMap::new(),
             service_overhead,
-            overhead_rng: Prng::new(addr.port as u64 ^ 0xF445),
+            overhead_rng,
             pending_responses: HashMap::new(),
             next_response_token: 0,
+            reconnect_pending: false,
             stats: PoolStats::default(),
         }))
     }
@@ -421,7 +440,7 @@ impl DigiPool {
     }
 
     /// Add a cell to the tick group for `interval_ms`, arming the group's
-    /// single wheel entry if it isn't in flight. A cell joining an armed
+    /// single timer if it isn't in flight. A cell joining an armed
     /// group adopts the group's phase.
     fn join_tick_group(&mut self, sim: &mut Sim, id: DigiId, interval_ms: u64) {
         let group = self.tick_groups.entry(interval_ms).or_default();
@@ -436,16 +455,46 @@ impl DigiPool {
         }
     }
 
-    /// A tick group's wheel entry fired: run every live member's loop
-    /// handler in host order (a dense scan of the arena), compact stale
-    /// ids, migrate cells whose programs changed their interval, and
-    /// re-arm once.
+    /// Re-establish a lost MQTT session: connect, re-subscribe every
+    /// hosted cell's command topics and attached children's model topics
+    /// in name order, and republish every model — the broker's retained
+    /// copies may predate whatever happened while the session was down.
+    fn reconnect(&mut self, sim: &mut Sim) {
+        self.conn.connect(sim, None);
+        let now = sim.now();
+        let ids: Vec<DigiId> = self.ids.values().copied().collect();
+        for id in ids {
+            let Some(cell) = self.arena.get_mut(id) else {
+                continue;
+            };
+            let [intent_topic, set_topic] = cell.command_topics();
+            self.conn.subscribe(
+                sim,
+                &[(&intent_topic, QoS::AtLeastOnce), (&set_topic, QoS::AtLeastOnce)],
+            );
+            for child in &cell.model().meta.attach {
+                self.conn.subscribe(sim, &[(&topics::model(child), QoS::AtMostOnce)]);
+            }
+            let mut out = Outbox::new();
+            cell.republish_model(now, &mut out);
+            self.flush(sim, out);
+        }
+    }
+
+    /// A tick group's timer fired: reconnect first if the session was
+    /// lost, then run every live member's loop handler in host order (a
+    /// dense scan of the arena), compact stale ids, migrate cells whose
+    /// programs changed their interval, and re-arm once.
     fn run_tick_group(&mut self, sim: &mut Sim, token: TimerToken) {
+        if self.reconnect_pending {
+            self.reconnect_pending = false;
+            self.reconnect(sim);
+        }
         let interval_ms = token & !TICK_TOKEN_TAG;
         let Some(group) = self.tick_groups.get_mut(&interval_ms) else {
             return;
         };
-        self.stats.wheel_wakeups += 1;
+        self.stats.timer_wakeups += 1;
         let mut members = std::mem::take(&mut group.members);
         let now = sim.now();
         let mut survivors = Vec::with_capacity(members.len());
@@ -578,8 +627,12 @@ impl DigiPool {
 
     fn pump(&mut self, sim: &mut Sim) {
         while let Some(ev) = self.conn.poll() {
-            if let ClientEvent::Message { topic, payload, .. } = ev {
-                self.handle_mqtt_message(sim, &topic, &payload);
+            match ev {
+                ClientEvent::Message { topic, payload, .. } => {
+                    self.handle_mqtt_message(sim, &topic, &payload);
+                }
+                ClientEvent::BrokerLost => self.reconnect_pending = true,
+                _ => {}
             }
         }
         while let Some(ev) = self.http.poll() {

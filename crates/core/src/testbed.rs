@@ -834,12 +834,15 @@ impl Testbed {
     // ---- pooled (FaaS-style) execution, paper §6 ----
 
     /// Run `names` instances of `kind` inside **one** pooled executor
-    /// service (one pod, one broker session, one timer wheel) instead of
-    /// one microservice each — the consolidation the paper's §6 "efficient
-    /// simulation" question asks about. Pooled digis speak the same topics
-    /// and REST routes (`/digi/<name>/...`) as dedicated ones, but are not
-    /// addressable through `check`/`edit`/`attach` (use the returned
-    /// handle). The `e9_faas_pooling` bench compares both modes.
+    /// service (one pod, one broker session, one kernel timer per loop
+    /// interval) instead of one microservice each — the consolidation the
+    /// paper's §6 "efficient simulation" question asks about. Pooled digis
+    /// speak the same topics and REST routes (`/digi/<name>/...`) as
+    /// dedicated ones and, like them, reconnect after a broker restart.
+    /// `check` resolves them through their pool; `edit`/`attach` do not
+    /// (use the returned handle). The pool's REST service-time jitter is
+    /// split from the kernel seed (`pool/<addr>`). The `e9_faas_pooling`
+    /// bench compares both modes.
     pub fn run_pool(
         &mut self,
         kind: &str,
@@ -878,7 +881,8 @@ impl Testbed {
             .node(node)
             .map(|n| n.service_overhead)
             .unwrap_or(SimDuration::ZERO);
-        let pool = crate::DigiPool::new(addr, self.broker_addr, overhead);
+        let overhead_rng = self.sim.rng_for(&format!("pool/{addr}"));
+        let pool = crate::DigiPool::new(addr, self.broker_addr, overhead, overhead_rng);
 
         // Materialize the cells' models/programs now; host them at start.
         let mut members = Vec::new();

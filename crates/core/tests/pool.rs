@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 use digibox_core::program::{DigiProgram, LoopCtx, SimCtx};
 use digibox_core::{AppEvent, Catalog, Testbed, TestbedConfig};
 use digibox_model::{vmap, FieldKind, Schema, Value};
-use digibox_net::SimDuration;
+use digibox_net::{LinkSpec, SimDuration, Topology};
 
 struct Counter;
 impl DigiProgram for Counter {
@@ -56,8 +56,8 @@ fn pooled_digis_tick_and_publish() {
     assert_eq!(p.len(), 10);
     let stats = p.stats();
     assert!(stats.ticks_dispatched >= 30, "ticks: {}", stats.ticks_dispatched);
-    // the wheel consolidates: far fewer wakeups than (cells × ticks)
-    assert!(stats.wheel_wakeups <= stats.ticks_dispatched);
+    // tick groups consolidate: far fewer wakeups than (cells × ticks)
+    assert!(stats.timer_wakeups <= stats.ticks_dispatched);
     for name in p.names() {
         let n = p.model(name).unwrap().lookup(&"n".into()).and_then(Value::as_int).unwrap();
         assert!(n >= 3, "{name} only ticked {n} times");
@@ -116,6 +116,71 @@ fn pooled_intents_arrive_over_mqtt() {
         p.model("C1").unwrap().status(&"limit".into()).unwrap().as_int(),
         Some(0)
     );
+}
+
+#[test]
+fn pooled_digis_hear_intents_after_a_broker_restart() {
+    for outage_ms in [500, 2_000, 5_000] {
+        let mut tb = Testbed::laptop(catalog(), TestbedConfig::default());
+        tb.run("Counter", "D").unwrap();
+        let (pool, _) = tb.run_pool("Counter", &names(2), BTreeMap::new(), false).unwrap();
+        tb.run_for(SimDuration::from_secs(2));
+        tb.kill_broker(SimDuration::from_millis(outage_ms));
+        tb.run_for(SimDuration::from_secs(15));
+        let app = tb.app_with_mqtt(tb.broker_addr().node, "editor");
+        tb.run_for(SimDuration::from_millis(100));
+        for digi in ["D", "C1"] {
+            app.borrow_mut().publish(
+                tb.sim(),
+                &format!("digibox/digi/{digi}/intent"),
+                &br#"{"limit": 99}"#[..],
+                digibox_broker::QoS::AtLeastOnce,
+            );
+        }
+        tb.run_for(SimDuration::from_secs(1));
+        let limit = |model: &digibox_model::Model| model.status(&"limit".into()).unwrap().as_int();
+        assert_eq!(limit(&tb.check("D").unwrap()), Some(99), "dedicated, outage {outage_ms} ms");
+        assert_eq!(
+            limit(pool.borrow().model("C1").unwrap()),
+            Some(99),
+            "pooled digi deaf after a {outage_ms} ms broker outage"
+        );
+    }
+}
+
+#[test]
+fn pooled_rest_jitter_follows_the_seed() {
+    let latencies = |seed: u64| {
+        // zero-jitter links: the pool's service time is the only random
+        // part of a GET's latency
+        let mut topo = Topology::single_laptop();
+        topo.set_loopback(LinkSpec {
+            base_delay: SimDuration::from_micros(50),
+            jitter: SimDuration::ZERO,
+            loss: 0.0,
+            bandwidth_bps: 0,
+        });
+        let config = TestbedConfig { seed, ..Default::default() };
+        let mut tb = Testbed::new(topo, catalog(), config);
+        let (_pool, pool_addr) = tb.run_pool("Counter", &names(3), BTreeMap::new(), true).unwrap();
+        tb.run_for(SimDuration::from_secs(1));
+        let app = tb.app(pool_addr.node);
+        let mut got = Vec::new();
+        for _ in 0..8 {
+            app.borrow_mut().get(tb.sim(), pool_addr, "/digi/C1/model");
+            tb.run_for(SimDuration::from_millis(100));
+            for event in app.borrow_mut().poll_all() {
+                let AppEvent::Response { status: 200, latency, .. } = event else {
+                    panic!("expected a 200 response, got {event:?}");
+                };
+                got.push(latency);
+            }
+        }
+        assert_eq!(got.len(), 8);
+        got
+    };
+    assert_eq!(latencies(1), latencies(1));
+    assert_ne!(latencies(1), latencies(2), "pooled REST jitter ignores the seed");
 }
 
 #[test]

@@ -5,13 +5,14 @@
 //! scorecards, the observability layer) is built on.
 
 use std::cell::RefCell;
+use std::cmp::{Ordering, Reverse};
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::rc::Rc;
 
 use crate::bytes::Bytes;
 use digibox_obs as obs;
 
 use crate::stats::NetStats;
-use crate::wheel::EventWheel;
 use crate::{Addr, Prng, SimDuration, SimTime, Topology};
 
 /// A message in flight between two service endpoints.
@@ -58,11 +59,14 @@ pub trait Service {
     /// A batch of same-instant datagrams addressed to this service.
     ///
     /// The kernel coalesces the maximal *consecutive* run of deliveries
-    /// that share `(at, dst)` — exactly a prefix of the global `(at, seq)`
-    /// order, so coalescing can never reorder observable events. The
-    /// default forwards each datagram to [`Service::on_datagram`] in queue
-    /// order; overriding is purely an optimization (a pool walks its arena
-    /// once per batch instead of once per datagram).
+    /// that share `(at, dst)`: after popping one delivery it keeps popping
+    /// the queue's minimum while that is a delivery to the same
+    /// destination at the same instant. The run is exactly a prefix of the
+    /// global `(at, seq)` order, so coalescing can never reorder
+    /// observable events. The default forwards each datagram to
+    /// [`Service::on_datagram`] in queue order; overriding is purely an
+    /// optimization (a pool walks its arena once per batch instead of once
+    /// per datagram).
     fn on_datagram_batch(&mut self, sim: &mut Sim, batch: &[Datagram]) {
         for dg in batch {
             self.on_datagram(sim, dg.clone());
@@ -102,6 +106,31 @@ enum EventKind {
     Deliver(Datagram),
     Timer { addr: Addr, token: TimerToken },
     Call(Box<dyn FnOnce(&mut Sim)>),
+}
+
+/// A queued event. Ordered by `(at, seq)` only: `seq` is the kernel's
+/// insertion counter, so equal instants pop first-in, first-out.
+struct Event {
+    at: SimTime,
+    seq: u64,
+    kind: EventKind,
+}
+
+impl PartialEq for Event {
+    fn eq(&self, other: &Self) -> bool {
+        (self.at, self.seq) == (other.at, other.seq)
+    }
+}
+impl Eq for Event {}
+impl PartialOrd for Event {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Event {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (self.at, self.seq).cmp(&(other.at, other.seq))
+    }
 }
 
 /// Pre-interned observability handles for the dispatch hot path — interned
@@ -147,15 +176,12 @@ impl ObsKeys {
 ///
 /// Events are ordered by `(time, insertion sequence)` — FIFO among
 /// simultaneous events, which pins down execution order completely. The
-/// queue is a hierarchical timer wheel with a heap overflow
-/// ([`EventWheel`]): the dominant periodic-timer workload schedules and
-/// fires in O(1) instead of the O(log n) a single binary heap costs, while
-/// producing the exact same total order.
+/// queue is one binary min-heap keyed by that pair.
 pub struct Sim {
     now: SimTime,
     seq: u64,
     events_processed: u64,
-    queue: EventWheel<EventKind>,
+    queue: BinaryHeap<Reverse<Event>>,
     topology: Topology,
     /// Dense service table: `ports[node][port]` is `slot + 1` into `slots`
     /// (0 = unbound), so the dispatch hot path is two array indexes with no
@@ -190,7 +216,7 @@ impl Sim {
             now: SimTime::ZERO,
             seq: 0,
             events_processed: 0,
-            queue: EventWheel::new(),
+            queue: BinaryHeap::new(),
             topology,
             ports: Vec::new(),
             slots: Vec::new(),
@@ -339,7 +365,7 @@ impl Sim {
             // island. Loss and delay were sampled above from *this*
             // island's link RNG, so capturing instead of queueing changes
             // nothing observable — the coordinator merges the outbox into
-            // the owning island's wheel at the next barrier.
+            // the owning island's queue at the next barrier.
             self.remote_outbox.push(RemoteDatagram { at, datagram: dg });
             return;
         }
@@ -364,7 +390,7 @@ impl Sim {
         std::mem::take(&mut self.remote_outbox)
     }
 
-    /// Merge a foreign island's datagram into this kernel's wheel. The
+    /// Merge a foreign island's datagram into this kernel's queue. The
     /// arrival time was sampled by the sender; it must not precede this
     /// island's committed horizon (`now`) — the conservative-lookahead
     /// barrier protocol guarantees that, and a violation here means the
@@ -403,7 +429,7 @@ impl Sim {
     fn push(&mut self, at: SimTime, kind: EventKind) {
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(at.as_nanos(), seq, kind);
+        self.queue.push(Reverse(Event { at, seq, kind }));
     }
 
     /// Per-event accounting shared by `step`'s initial pop and the batch
@@ -445,7 +471,6 @@ impl Sim {
             return;
         };
         self.stats.delivered(dg.payload.len());
-        let at_ns = at.as_nanos();
         let mut batch = std::mem::take(&mut self.batch_buf);
         batch.clear();
         batch.push(dg);
@@ -453,10 +478,14 @@ impl Sim {
             if self.config.max_events > 0 && self.events_processed >= self.config.max_events {
                 break;
             }
-            let next = self.queue.pop_if(|eat, _seq, kind| {
-                eat == at_ns && matches!(kind, EventKind::Deliver(d) if d.dst == dst)
-            });
-            let Some((_, _, EventKind::Deliver(d))) = next else { break };
+            let Some(next) = self.queue.peek_mut() else { break };
+            let Reverse(e) = &*next;
+            if e.at != at || !matches!(&e.kind, EventKind::Deliver(d) if d.dst == dst) {
+                break;
+            }
+            let EventKind::Deliver(d) = PeekMut::pop(next).0.kind else {
+                unreachable!("the peeked event is a delivery")
+            };
             self.account_event(at);
             obs::inc(self.obs.deliver);
             self.stats.delivered(d.payload.len());
@@ -483,10 +512,9 @@ impl Sim {
         if self.config.max_events > 0 && self.events_processed >= self.config.max_events {
             return false;
         }
-        let Some((at, _seq, kind)) = self.queue.pop() else {
+        let Some(Reverse(Event { at, kind, .. })) = self.queue.pop() else {
             return false;
         };
-        let at = SimTime::from_nanos(at);
         debug_assert!(at >= self.now, "time must be monotonic");
         self.now = at;
         self.account_event(at);
@@ -513,7 +541,7 @@ impl Sim {
     pub fn run_until(&mut self, deadline: SimTime) {
         loop {
             match self.queue.peek() {
-                Some((at, _seq)) if at <= deadline.as_nanos() => {
+                Some(Reverse(e)) if e.at <= deadline => {
                     if !self.step() {
                         break;
                     }
@@ -724,9 +752,9 @@ mod tests {
     }
 
     #[test]
-    fn far_future_timers_survive_the_wheel_overflow() {
-        // Hours-away timers land in the scheduler's overflow heap; they
-        // must still fire, in order, after the near-term work drains.
+    fn far_future_timers_fire_after_near_term_work() {
+        // Hours-away timers must still fire, in order, after the near-term
+        // work drains.
         let (mut sim, _a, b) = two_node_sim();
         let svc = Echo::new(b);
         sim.bind(b, svc.clone());
@@ -919,13 +947,83 @@ mod tests {
         sim.bind(b, svc.clone());
         let at = |ms| SimTime::ZERO + SimDuration::from_millis(ms);
         let dg = |p: &'static [u8]| Datagram { src: a, dst: b, payload: Bytes::from_static(p) };
-        // injected out of time order: the wheel re-establishes (at, seq)
+        // injected out of time order: the queue re-establishes (at, seq)
         sim.inject_remote(RemoteDatagram { at: at(20), datagram: dg(b"second") });
         sim.inject_remote(RemoteDatagram { at: at(10), datagram: dg(b"first") });
         sim.inject_remote(RemoteDatagram { at: at(20), datagram: dg(b"third") });
         sim.run_to_completion();
         let got: Vec<Vec<u8>> = svc.borrow().received.iter().map(|(_, p)| p.clone()).collect();
         assert_eq!(got, vec![b"first".to_vec(), b"second".to_vec(), b"third".to_vec()]);
+    }
+
+    #[test]
+    fn handlers_fire_in_at_then_insertion_order() {
+        // Timers, datagrams and closures at same-instant, µs, s and hour
+        // horizons, scheduled between single steps: whatever the mix,
+        // handlers run in `(at, insertion)` order.
+        struct Rec {
+            log: Rc<RefCell<Vec<(SimTime, u64)>>>,
+        }
+        impl Service for Rec {
+            fn on_datagram(&mut self, sim: &mut Sim, dg: Datagram) {
+                let id = u64::from_be_bytes(dg.payload[..].try_into().expect("8-byte id"));
+                self.log.borrow_mut().push((sim.now(), id));
+            }
+            fn on_timer(&mut self, sim: &mut Sim, token: TimerToken) {
+                self.log.borrow_mut().push((sim.now(), token));
+            }
+        }
+        let horizons = [
+            SimDuration::ZERO,
+            SimDuration::from_micros(7),
+            SimDuration::from_secs(2),
+            SimDuration::from_secs(3600),
+        ];
+        crate::prop::check("sim_fires_in_at_insertion_order", 64, |g| {
+            // One sender node, and per horizon one receiver behind a
+            // jitter-free link of exactly that delay.
+            let mut topo = Topology::new();
+            let origin = topo.add_node(NodeSpec::laptop());
+            let mut dsts = Vec::new();
+            for &base_delay in &horizons {
+                let n = topo.add_node(NodeSpec::laptop());
+                let link = LinkSpec { base_delay, jitter: SimDuration::ZERO, loss: 0.0, bandwidth_bps: 0 };
+                topo.set_link(origin, n, link);
+                dsts.push(Addr::new(n, 1));
+            }
+            let mut sim = Sim::new(topo, SimConfig::default());
+            let log = Rc::new(RefCell::new(Vec::new()));
+            for &dst in &dsts {
+                sim.bind(dst, Rc::new(RefCell::new(Rec { log: log.clone() })));
+            }
+            let mut expected = Vec::new();
+            for _ in 0..g.usize(1..300) {
+                let id = expected.len() as u64;
+                let h = g.usize(0..horizons.len());
+                let delay = horizons[h].saturating_mul(g.range(1..3));
+                match g.weighted(&[3, 3, 3, 2]) {
+                    0 => sim.set_timer(dsts[g.usize(0..dsts.len())], delay, id),
+                    1 => {
+                        let payload = Bytes::copy_from_slice(&id.to_be_bytes());
+                        sim.send(Addr::new(origin, 1), dsts[h], payload);
+                        expected.push((sim.now() + horizons[h], id));
+                        continue;
+                    }
+                    2 => {
+                        let log = log.clone();
+                        sim.call_at(sim.now() + delay, move |s| log.borrow_mut().push((s.now(), id)));
+                    }
+                    _ => {
+                        sim.step();
+                        continue;
+                    }
+                }
+                expected.push((sim.now() + delay, id));
+            }
+            sim.run_to_completion();
+            expected.sort();
+            assert_eq!(*log.borrow(), expected);
+        });
     }
 
     #[test]

@@ -36,11 +36,9 @@ pub mod stats;
 mod time;
 mod topology;
 pub mod transport;
-pub mod wheel;
 
 pub use chaos::{FaultKind, FaultPlan, FaultSpec, FaultWindow};
 pub use kernel::{Datagram, RemoteDatagram, Service, ServiceHandle, Sim, SimConfig, TimerToken};
-pub use wheel::EventWheel;
 pub use prng::Prng;
 pub use time::{SimDuration, SimTime};
 pub use topology::{Addr, LinkSpec, LinkState, NodeId, NodeSpec, Topology};

@@ -10,14 +10,14 @@
 #
 # Usage: scripts/bench_smoke.sh [out.json] [sweep_out.json] [obs_out.json] [scale_out.json] [islands_out.json]
 #
-# If cargo cannot build the workspace (e.g. an offline container without
-# a registry mirror), fall back to the standalone harnesses, which compile
-# the std-only hot-path + sweep + obs + scale modules directly with rustc
-# and measure the same comparisons (no simulated E1/E6/campaign rows in
-# that mode; the obs row measures the raw record path instead of a full
-# scene, the scale row measures miniature substrate models instead of
-# full testbeds, and the islands row drives a miniature of the
+# If cargo cannot build the workspace, fall back to the standalone
+# harnesses, which compile the std-only sweep + obs + scale modules
+# directly with rustc and measure the same comparisons (no campaign rows
+# in that mode; the obs row measures the raw record path instead of a
+# full scene, the scale row measures miniature substrate models instead
+# of full testbeds, and the islands row drives a miniature of the
 # core::islands barrier protocol instead of real island testbeds).
+# BENCH_substrate.json has no fallback: it is written by the cargo path.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -34,8 +34,6 @@ fi
 echo "[bench_smoke] cargo build unavailable; using standalone rustc harness" >&2
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
-rustc --edition 2021 -O scripts/standalone_hotpath.rs -o "$TMP/standalone_hotpath"
-"$TMP/standalone_hotpath" "$OUT"
 rustc --edition 2021 -O scripts/standalone_sweep.rs -o "$TMP/standalone_sweep"
 "$TMP/standalone_sweep" "$SWEEP_OUT"
 rustc --edition 2021 -O scripts/standalone_obs.rs -o "$TMP/standalone_obs"

@@ -1,5 +1,5 @@
-//! Determinism regression for the substrate hot-path overhaul: the
-//! hierarchical timer wheel, broker route cache, and interned
+//! Determinism regression for the substrate hot paths: the kernel's
+//! `(at, seq)` event heap, the broker route cache, and interned
 //! topics/paths must not perturb event order. A 200-mock building scene
 //! run twice under one seed must produce byte-identical traces and model
 //! states; a different seed must not.
@@ -28,7 +28,7 @@ fn scene_digests(seed: u64) -> (String, String) {
     }
     for s in 0..SENSORS {
         // unmanaged: the mocks' own event loops drive the kernel's
-        // periodic-timer path (the wheel's hot case)
+        // periodic-timer path
         tb.run_with("Occupancy", &format!("O{s}"), no_params(), false).unwrap();
     }
     tb.run_for(SimDuration::from_secs(2));
